@@ -26,6 +26,8 @@
 //! ([`load::e16_table`] and the `e16_storage` bench) compares the
 //! storage backends crud-bench style: mem's full-load-path cold start
 //! vs disk's manifest open, then the E10 serving workload on each.
+//! E18 ([`e18_table`] and the `e18_agg` bench) times the union Agg
+//! fold over k distinct citations, n-ary vs pairwise.
 
 use fgc_core::{
     baseline_coverage, CitationEngine, EngineOptions, OrderChoice, PageCitationStore, Policy,
@@ -1045,6 +1047,131 @@ pub fn ablation_table(families: usize) -> Table {
     }
 }
 
+// =====================================================================
+// E18 — the Agg fold over k distinct citations
+// =====================================================================
+
+/// The first `k` distinct tuple citations of the whole-family listing
+/// `Q(F, N) :- Family(F, N, Ty)` over a generated GtoPdb instance of
+/// `families` families (one distinct citation per family, so
+/// `k ≤ families`) — the operands of the `listing` Agg fold.
+pub fn listing_citations(families: usize, k: usize) -> Vec<fgc_views::Json> {
+    let engine = engine_at_scale(families, RewriteMode::Pruned, Policy::default());
+    let q = parse_query("Q(F, N) :- Family(F, N, Ty)").expect("static query");
+    let citation = engine.cite(&q).expect("listing cites");
+    let mut seen = std::collections::HashSet::new();
+    let distinct: Vec<fgc_views::Json> = citation
+        .tuples
+        .into_iter()
+        .map(|t| t.citation)
+        .filter(|c| seen.insert(c.to_compact()))
+        .take(k)
+        .collect();
+    assert_eq!(
+        distinct.len(),
+        k,
+        "{families} families give fewer than {k} citations"
+    );
+    distinct
+}
+
+/// Median wall time of `f(k)` for each `k`, over at least `rounds`
+/// rounds and about `budget`. Each round times every `k` once, so a
+/// drift in host speed hits every `k` alike, and each timed call
+/// follows an untimed one with the same `k`, so it finds the heap as
+/// its own previous call left it rather than as a larger `k` did.
+fn interleaved_medians(
+    ks: &[usize],
+    rounds: usize,
+    budget: std::time::Duration,
+    mut f: impl FnMut(usize) -> fgc_views::Json,
+) -> Vec<std::time::Duration> {
+    let started = Instant::now();
+    let mut times = vec![Vec::new(); ks.len()];
+    while times.first().is_some_and(|t| t.len() < rounds) || started.elapsed() < budget {
+        for (t, &k) in times.iter_mut().zip(ks) {
+            std::hint::black_box(f(k));
+            let t0 = Instant::now();
+            std::hint::black_box(f(k));
+            t.push(t0.elapsed());
+        }
+    }
+    times
+        .into_iter()
+        .map(|mut t| {
+            t.sort();
+            t[t.len() / 2]
+        })
+        .collect()
+}
+
+/// E18 table: the union Agg fold over k distinct GtoPdb citations,
+/// as one [`CombineOp::fold`](fgc_core::CombineOp::fold) and as the
+/// pairwise left fold of `CombineOp::apply` from `Null`. Claim: the
+/// n-ary fold's time per record stays flat in k, while the pairwise
+/// fold re-reads its k-record accumulator at every step. The pairwise
+/// fold runs only for k ≤ `pairwise_cap`; both must agree byte for byte.
+pub fn e18_table(ks: &[usize], pairwise_cap: usize) -> Table {
+    use fgc_core::CombineOp;
+    use fgc_views::Json;
+    let max_k = ks.iter().copied().max().unwrap_or(0);
+    let citations = listing_citations(max_k, max_k);
+    let fold = |k: usize| CombineOp::Union.fold(&citations[..k]);
+    let pairwise = |k: usize| {
+        citations[..k]
+            .iter()
+            .fold(Json::Null, |acc, x| CombineOp::Union.apply(&acc, x))
+    };
+    let capped: Vec<usize> = ks.iter().copied().filter(|&k| k <= pairwise_cap).collect();
+    for &k in &capped {
+        assert_eq!(pairwise(k).to_compact(), fold(k).to_compact(), "k = {k}");
+    }
+    let t_fold = interleaved_medians(ks, 5, std::time::Duration::from_millis(1_500), fold);
+    let t_pair = interleaved_medians(&capped, 3, std::time::Duration::ZERO, pairwise);
+    let us_per =
+        |d: std::time::Duration, k: usize| format!("{:.2}", d.as_secs_f64() * 1e6 / k as f64);
+    let mut rows = Vec::new();
+    for (i, &k) in ks.iter().enumerate() {
+        let bytes: usize = citations[..k].iter().map(Json::size_bytes).sum();
+        let (pair_ms, pair_us, speedup) = match capped.iter().position(|&c| c == k) {
+            Some(j) => (
+                ms(t_pair[j]),
+                us_per(t_pair[j], k),
+                format!(
+                    "{:.1}x",
+                    t_pair[j].as_secs_f64() / t_fold[i].as_secs_f64().max(1e-12)
+                ),
+            ),
+            None => ("-".into(), "-".into(), "-".into()),
+        };
+        rows.push(vec![
+            k.to_string(),
+            format!("{:.1}", bytes as f64 / 1024.0),
+            ms(t_fold[i]),
+            us_per(t_fold[i], k),
+            pair_ms,
+            pair_us,
+            speedup,
+        ]);
+    }
+    Table {
+        title: format!(
+            "E18 — union Agg fold over k distinct GtoPdb citations: CombineOp::fold vs \
+             pairwise apply fold (pairwise run for k ≤ {pairwise_cap} only)"
+        ),
+        headers: vec![
+            "k".into(),
+            "input_kib".into(),
+            "fold_ms".into(),
+            "fold_us_per_rec".into(),
+            "pairwise_ms".into(),
+            "pairwise_us_per_rec".into(),
+            "speedup".into(),
+        ],
+        rows,
+    }
+}
+
 /// All experiment tables with default (CI-sized) sweeps.
 pub fn all_tables() -> Vec<Table> {
     vec![
@@ -1062,6 +1189,7 @@ pub fn all_tables() -> Vec<Table> {
         e13_table(1_000, &[4, 16, 64]),
         e15_table(1_000),
         e16_table(&[1_000]),
+        e18_table(&[250, 500, 1_000, 2_000, 4_000], 1_000),
         ablation_table(1_000),
     ]
 }
@@ -1144,6 +1272,14 @@ mod tests {
         assert_eq!(t.rows.len(), 6);
         // the on/off sweep must leave stage timing at its default
         assert!(fgc_obs::stages_enabled());
+    }
+
+    #[test]
+    fn e18_small_sweep_runs() {
+        let t = e18_table(&[8, 16], 8);
+        assert_eq!(t.rows.len(), 2);
+        assert_ne!(t.rows[0][4], "-"); // pairwise measured up to the cap
+        assert_eq!(t.rows[1][4], "-");
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //! `e1 e3`) to restrict. The load-generator experiments (E10, E14),
 //! the incremental-maintenance experiment (E13; pass `e13 full` for
 //! the 1,000-commit long-history row), the observability-overhead
-//! experiment (E15), and the storage backend comparison (E16; pass
-//! `e16 full` for the 100× sweep) additionally persist their results
-//! as `BENCH_E10.json` / `BENCH_E13.json` / `BENCH_E14.json` /
-//! `BENCH_E15.json` / `BENCH_E16.json` in the working directory.
+//! experiment (E15), the storage backend comparison (E16; pass
+//! `e16 full` for the 100× sweep), and the Agg fold sweep (E18)
+//! additionally persist their results as `BENCH_E10.json` /
+//! `BENCH_E13.json` / `BENCH_E14.json` / `BENCH_E15.json` /
+//! `BENCH_E16.json` / `BENCH_E18.json` in the working directory.
 
 /// Persist a table as a machine-readable artifact next to the
 /// printable rendering.
@@ -108,6 +109,14 @@ fn main() {
         };
         let table = fgc_bench::e16_table(scales);
         persist("BENCH_E16.json", &table);
+        print!("{}", table.render());
+        println!();
+    }
+    if want("e18") {
+        // the pairwise fold grows super-linearly; it is capped at
+        // k = 1,000 so the sweep finishes in seconds
+        let table = fgc_bench::e18_table(&[250, 500, 1_000, 2_000, 4_000], 1_000);
+        persist("BENCH_E18.json", &table);
         print!("{}", table.render());
         println!();
     }

@@ -1163,13 +1163,11 @@ impl CitationEngine {
                 // citations (present even for empty outputs). Both Agg
                 // interpretations are idempotent, so aggregating the distinct
                 // citations once each is equivalent to folding all tuples.
-                let mut aggregate = Json::Null;
-                for g in &policy.global_citations {
-                    aggregate = policy.agg.apply(&aggregate, g);
-                }
-                for citation in &distinct_citations {
-                    aggregate = policy.agg.apply(&aggregate, citation);
-                }
+                // One `CombineOp::fold`, globals first: for a union Agg a
+                // single pass linear in the citations' bytes.
+                let aggregate = policy
+                    .agg
+                    .fold(policy.global_citations.iter().chain(&distinct_citations));
 
                 Ok(QueryCitation {
                     tuples,

@@ -10,7 +10,7 @@ use fgc_semiring::order::{
     FewestUncovered, FewestViews, Lexicographic, MonomialOrder, NoOrder, TokenDominance,
 };
 use fgc_semiring::{CitationExpr, Monomial};
-use fgc_views::{join_records, union_records, Json};
+use fgc_views::{join_records, union_all, union_records, Json};
 use std::collections::BTreeMap;
 
 /// Interpretation of a binary combining function on JSON citations —
@@ -30,6 +30,19 @@ impl CombineOp {
         match self {
             CombineOp::Union => union_records(a, b),
             CombineOp::Join => join_records(a, b),
+        }
+    }
+
+    /// Fold the interpretation over `items`: equal, byte for byte, to
+    /// the left fold of [`Self::apply`] from `Json::Null`. `Union` is
+    /// one [`union_all`] pass, linear in the total record bytes;
+    /// `Join` is that pairwise left fold of [`join_records`].
+    pub fn fold<'a>(self, items: impl IntoIterator<Item = &'a Json>) -> Json {
+        match self {
+            CombineOp::Union => union_all(items),
+            CombineOp::Join => items
+                .into_iter()
+                .fold(Json::Null, |acc, x| join_records(&acc, x)),
         }
     }
 }
@@ -197,14 +210,9 @@ pub fn interpret_monomial<F>(
 where
     F: FnMut(&CiteToken) -> Json,
 {
-    let mut acc = Json::Null;
-    for (token, exponent) in monomial.iter() {
-        // idempotent ·: exponents do not repeat content
-        let _ = exponent;
-        let v = value_of(token);
-        acc = policy.times.apply(&acc, &v);
-    }
-    acc
+    // idempotent ·: exponents do not repeat content
+    let values: Vec<Json> = monomial.iter().map(|(token, _)| value_of(token)).collect();
+    policy.times.fold(&values)
 }
 
 /// Interpret a whole citation expression: `·` within monomials, `+`
@@ -219,24 +227,25 @@ where
     R: Ord + Clone + std::fmt::Debug,
     F: FnMut(&CiteToken) -> Json,
 {
-    let mut result: Option<Json> = None;
+    let mut alternatives = Vec::new();
     for (_, poly) in expr.alternatives() {
-        let mut poly_value: Option<Json> = None;
-        for monomial in poly.monomials() {
-            let m = interpret_monomial(policy, monomial, &mut value_of);
-            poly_value = Some(match poly_value {
-                None => m,
-                Some(prev) => policy.plus.apply(&prev, &m),
-            });
-        }
-        if let Some(pv) = poly_value {
-            result = Some(match result {
-                None => pv,
-                Some(prev) => policy.plus_r.apply(&prev, &pv),
-            });
-        }
+        let monomials = poly
+            .monomials()
+            .map(|monomial| interpret_monomial(policy, monomial, &mut value_of))
+            .collect();
+        alternatives.extend(fold_from_first(policy.plus, monomials));
     }
-    result
+    fold_from_first(policy.plus_r, alternatives)
+}
+
+/// The left fold of `op` seeded with the first item instead of `Null`:
+/// a lone item is returned as it is, where [`CombineOp::fold`] would
+/// normalize it. `None` for no items.
+fn fold_from_first(op: CombineOp, mut items: Vec<Json>) -> Option<Json> {
+    match items.len() {
+        0 | 1 => items.pop(),
+        _ => Some(op.fold(&items)),
+    }
 }
 
 #[cfg(test)]
@@ -294,6 +303,17 @@ mod tests {
         let policy = Policy::union_all();
         let out = interpret_expr(&policy, &e, value_of).unwrap();
         assert!(matches!(out, Json::Array(items) if items.len() == 2));
+    }
+
+    #[test]
+    fn lone_alternative_is_not_refolded() {
+        // a lone monomial or rewriting passes through `+`/`+R` as it is,
+        // so a value the union would normalize (`[V1, V1]`) stays intact
+        let twice = Json::Array(vec![value_of(&token_v1()), value_of(&token_v1())]);
+        let e = CitationExpr::single("Q1".to_string(), Polynomial::token(token_v1()));
+        let policy = Policy::default(); // · = join, + = +R = union
+        let out = interpret_expr(&policy, &e, |_: &CiteToken| twice.clone());
+        assert_eq!(out, Some(twice));
     }
 
     #[test]

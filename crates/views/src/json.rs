@@ -9,8 +9,11 @@
 //! them — objects keep insertion order (citations read like the
 //! paper's examples), arrays used as *sets* deduplicate.
 
+use std::collections::hash_map::DefaultHasher;
+use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
+use std::hash::{Hash, Hasher};
 
 /// An owned JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,7 +91,7 @@ impl Json {
         match self {
             Json::Array(items) => {
                 let mut canon: Vec<Json> = items.iter().map(Json::canonical).collect();
-                canon.sort_by_key(|a| a.to_compact());
+                canon.sort_by_cached_key(Json::to_compact);
                 canon.dedup();
                 Json::Array(canon)
             }
@@ -252,19 +255,56 @@ impl From<fgc_relation::Value> for Json {
 /// `·`/`+R` as **union of records**: collect the operands into a set
 /// (array) of records. Flattens nested unions and deduplicates, so
 /// the operation is associative, commutative, and idempotent.
+///
+/// This is [`union_all`] of the two operands, at the same cost:
+/// linear in their total record bytes. Folding it over k operands
+/// re-reads the accumulator at every step, so use [`union_all`] there.
 pub fn union_records(a: &Json, b: &Json) -> Json {
-    let mut items = Vec::new();
-    collect_records(a, &mut items);
-    collect_records(b, &mut items);
-    dedup_preserving_order(&mut items);
-    match items.len() {
+    union_all([a, b])
+}
+
+/// Union of records over any number of operands, in one pass.
+///
+/// Every operand is flattened (arrays are record sets, nested ones
+/// included; `Null` is the empty citation and contributes nothing),
+/// then each record is kept at its first occurrence unless an earlier
+/// kept record has an `==` canonical form ([`Json::canonical`]). The
+/// result is `Null` for no records, the record itself for one, and an
+/// `Array` otherwise.
+///
+/// The result is identical, byte for byte, to the left fold of
+/// [`union_records`] from `Null` over the same operands. Each record's
+/// canonical form is computed and hashed once, so the cost is linear
+/// in the total record bytes (plus sorting the arrays inside each
+/// record), where the pairwise fold over k records costs O(k²)
+/// canonical forms.
+pub fn union_all<'a>(operands: impl IntoIterator<Item = &'a Json>) -> Json {
+    let mut records = Vec::new();
+    for operand in operands {
+        collect_records(operand, &mut records);
+    }
+    // kept canonical forms bucketed by hash; a hash hit counts only if
+    // it is `==`, which a NaN-bearing record never is
+    let mut seen: HashMap<u64, Vec<Json>> = HashMap::new();
+    let mut kept: Vec<Json> = Vec::new();
+    for record in records {
+        let canon = record.canonical();
+        let mut hasher = DefaultHasher::new();
+        hash_canonical(&canon, &mut hasher);
+        let bucket = seen.entry(hasher.finish()).or_default();
+        if !bucket.contains(&canon) {
+            bucket.push(canon);
+            kept.push(record.clone());
+        }
+    }
+    match kept.len() {
         0 => Json::Null, // the empty citation is the neutral element
-        1 => items.pop().expect("non-empty"),
-        _ => Json::Array(items),
+        1 => kept.pop().expect("non-empty"),
+        _ => Json::Array(kept),
     }
 }
 
-fn collect_records(j: &Json, out: &mut Vec<Json>) {
+fn collect_records<'a>(j: &'a Json, out: &mut Vec<&'a Json>) {
     match j {
         // Null is the empty citation: it contributes nothing, whether
         // it appears as an operand or as an array element. Arrays are
@@ -276,21 +316,35 @@ fn collect_records(j: &Json, out: &mut Vec<Json>) {
                 collect_records(item, out);
             }
         }
-        other => out.push(other.clone()),
+        other => out.push(other),
     }
 }
 
-fn dedup_preserving_order(items: &mut Vec<Json>) {
-    let mut seen: Vec<Json> = Vec::new();
-    items.retain(|j| {
-        let c = j.canonical();
-        if seen.contains(&c) {
-            false
-        } else {
-            seen.push(c);
-            true
+/// Hash consistent with `==`: values that are `==` hash alike. Floats
+/// hash by bits after `+ 0.0`, which turns `-0.0` (`== 0.0`) into
+/// `0.0`; NaN equals nothing, so its hash is unconstrained.
+fn hash_canonical(j: &Json, h: &mut DefaultHasher) {
+    std::mem::discriminant(j).hash(h);
+    match j {
+        Json::Null => {}
+        Json::Bool(b) => b.hash(h),
+        Json::Int(i) => i.hash(h),
+        Json::Float(x) => (x + 0.0).to_bits().hash(h),
+        Json::Str(s) => s.hash(h),
+        Json::Array(items) => {
+            items.len().hash(h);
+            for item in items {
+                hash_canonical(item, h);
+            }
         }
-    });
+        Json::Object(fields) => {
+            fields.len().hash(h);
+            for (k, v) in fields {
+                k.hash(h);
+                hash_canonical(v, h);
+            }
+        }
+    }
 }
 
 /// `·`/`+R` as **join**: "factors out common elements". Two objects
@@ -454,6 +508,57 @@ mod tests {
         assert_eq!(union_records(&a, &Json::Null), a);
         assert_eq!(union_records(&Json::Null, &a), a);
         assert_eq!(join_records(&Json::Null, &a), a);
+    }
+
+    #[test]
+    fn union_all_collapses_signed_zeros() {
+        // 0.0 == -0.0, so they are one record and the first one stays
+        let pos = Json::from_pairs([("x", Json::Float(0.0))]);
+        let neg = Json::from_pairs([("x", Json::Float(-0.0))]);
+        assert_eq!(union_all([&pos, &neg]).to_compact(), r#"{"x": 0.0}"#);
+        assert_eq!(union_all([&neg, &pos]).to_compact(), r#"{"x": -0.0}"#);
+        let zeros = [Json::Float(-0.0), Json::Float(0.0), Json::Float(-0.0)];
+        assert_eq!(union_all(&zeros).to_compact(), "-0.0");
+    }
+
+    #[test]
+    fn union_all_keeps_every_nan_record() {
+        // NaN != NaN, so a NaN-bearing record is never a duplicate
+        let nan = Json::from_pairs([("x", Json::Float(f64::NAN))]);
+        let u = union_all([&nan, &nan, &Json::Float(f64::NAN)]);
+        assert_eq!(u.to_compact(), r#"[{"x": NaN}, {"x": NaN}, NaN]"#);
+        assert_eq!(
+            union_records(&u, &nan).to_compact().matches("NaN").count(),
+            4
+        );
+    }
+
+    #[test]
+    fn union_all_flattens_like_union_records() {
+        let (a, b) = (calcitonin_committee(), calcitonin_contributors());
+        let nested = Json::Array(vec![
+            Json::Null,
+            Json::Array(vec![b.clone(), Json::Array(vec![a.clone()])]),
+            Json::Null,
+        ]);
+        let operands = [
+            Json::Null,
+            nested,
+            a.clone(),
+            Json::Array(vec![]),
+            b.clone(),
+        ];
+        let pairwise = operands
+            .iter()
+            .fold(Json::Null, |acc, x| union_records(&acc, x));
+        assert_eq!(union_all(&operands), pairwise);
+        assert_eq!(pairwise, Json::Array(vec![b, a]));
+        let empty = [
+            Json::Null,
+            Json::Array(vec![Json::Null, Json::Array(vec![])]),
+        ];
+        assert_eq!(union_all(&empty), Json::Null);
+        assert_eq!(union_all(&[] as &[Json]), Json::Null);
     }
 
     #[test]

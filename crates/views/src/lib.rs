@@ -29,7 +29,7 @@ pub mod view;
 
 pub use format::{to_text, to_xml, TextStyle};
 pub use function::{CitationFunction, FieldSpec};
-pub use json::{join_records, union_records, Json};
+pub use json::{join_records, union_all, union_records, Json};
 pub use registry::ViewRegistry;
 pub use spec::parse_view_file;
 pub use view::{CitationView, Result as ViewResult, ViewError};

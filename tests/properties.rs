@@ -49,34 +49,48 @@ fn lowercase_str(g: &mut SmallRng, min: usize, max: usize) -> String {
         .collect()
 }
 
-fn json_leaf(g: &mut SmallRng) -> Json {
-    match g.gen_range(0..4) {
+/// A JSON leaf; with `floats`, also `Float`s, among them `-0.0`
+/// (`== 0.0`) and NaN (`==` to nothing).
+fn json_leaf(g: &mut SmallRng, floats: bool) -> Json {
+    match g.gen_range(0..if floats { 5 } else { 4 }) {
         0 => Json::Null,
         1 => Json::Bool(g.gen_bool(0.5)),
         2 => Json::Int(g.gen_range(0..200) as i64 - 100),
-        _ => Json::str(lowercase_str(g, 0, 6)),
+        3 => Json::str(lowercase_str(g, 0, 6)),
+        _ => Json::Float([0.0, -0.0, f64::NAN, 1.5, -2.25][g.gen_range(0..5)]),
     }
 }
 
-fn json_value_at(g: &mut SmallRng, depth: usize) -> Json {
+fn json_value_at(g: &mut SmallRng, depth: usize, floats: bool) -> Json {
     if depth == 0 || g.gen_bool(0.4) {
-        return json_leaf(g);
+        return json_leaf(g, floats);
     }
     if g.gen_bool(0.5) {
         let n = g.gen_range(0..4);
-        Json::Array((0..n).map(|_| json_value_at(g, depth - 1)).collect())
+        Json::Array(
+            (0..n)
+                .map(|_| json_value_at(g, depth - 1, floats))
+                .collect(),
+        )
     } else {
         let n = g.gen_range(0..4);
         Json::from_pairs(
             (0..n)
-                .map(|_| (lowercase_str(g, 1, 4), json_value_at(g, depth - 1)))
+                .map(|_| (lowercase_str(g, 1, 4), json_value_at(g, depth - 1, floats)))
                 .collect::<Vec<_>>(),
         )
     }
 }
 
+/// A JSON value without floats: the algebra laws hold up to
+/// `equivalent`, which NaN (never equivalent to itself) would break.
 fn json_value(g: &mut SmallRng) -> Json {
-    json_value_at(g, 3)
+    json_value_at(g, 3, false)
+}
+
+/// A JSON value whose leaves include `-0.0` and NaN.
+fn json_value_with_floats(g: &mut SmallRng) -> Json {
+    json_value_at(g, 3, true)
 }
 
 fn value(g: &mut SmallRng) -> Value {
@@ -273,6 +287,68 @@ fn join_is_idempotent_on_objects() {
         let a = json_value(g);
         if matches!(a, Json::Object(_)) {
             assert!(join_records(&a, &a).equivalent(&a));
+        }
+    });
+}
+
+/// Union by its definition, as a quadratic scan with no hashing:
+/// flatten the operands (`Null` dropped, arrays spliced), then keep a
+/// record unless an earlier kept one has an `==` canonical form.
+fn union_by_scan(xs: &[Json]) -> Json {
+    fn flatten(j: &Json, out: &mut Vec<Json>) {
+        match j {
+            Json::Null => {}
+            Json::Array(items) => items.iter().for_each(|i| flatten(i, out)),
+            other => out.push(other.clone()),
+        }
+    }
+    let mut records = Vec::new();
+    xs.iter().for_each(|x| flatten(x, &mut records));
+    let mut seen: Vec<Json> = Vec::new();
+    records.retain(|r| {
+        let c = r.canonical();
+        let fresh = !seen.contains(&c);
+        if fresh {
+            seen.push(c);
+        }
+        fresh
+    });
+    match records.len() {
+        0 => Json::Null,
+        1 => records.remove(0),
+        _ => Json::Array(records),
+    }
+}
+
+#[test]
+fn n_ary_fold_equals_pairwise_fold() {
+    forall(256, |g| {
+        // operands drawn partly from a small pool, so duplicates are
+        // common; independent draws make -0.0/0.0 twins
+        let pool: Vec<Json> = (0..6).map(|_| json_value_with_floats(g)).collect();
+        let n = g.gen_range(0..=64);
+        let xs: Vec<Json> = (0..n)
+            .map(|_| match g.gen_bool(0.5) {
+                true => pool[g.gen_range(0..pool.len())].clone(),
+                false => json_value_with_floats(g),
+            })
+            .collect();
+        // Debug output tells -0.0 from 0.0 and prints NaN, so equal
+        // Debug strings mean byte-identical values even where NaN
+        // makes `==` false
+        let identical = |a: &Json, b: &Json| {
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "{xs:?}");
+            if !a.to_compact().contains("NaN") {
+                assert_eq!(a, b, "{xs:?}");
+            }
+        };
+        for op in [CombineOp::Union, CombineOp::Join] {
+            let folded = op.fold(&xs);
+            let pairwise = xs.iter().fold(Json::Null, |acc, x| op.apply(&acc, x));
+            identical(&folded, &pairwise);
+            if op == CombineOp::Union {
+                identical(&folded, &union_by_scan(&xs));
+            }
         }
     });
 }
